@@ -118,10 +118,10 @@ def main():
             ma, mb = statistics.median(va), statistics.median(vb)
             d = worse(ma, mb, m["better"])
             flag = ""
-            if name != "setup_s" and max(sa, sb) > m["bound"]:
+            if max(sa, sb) > m["bound"]:
                 flag += " SPREAD>BOUND"
                 failed = True
-            elif name != "setup_s" and max(sa, sb) > m["bound"] / 3:
+            elif max(sa, sb) > m["bound"] / 3:
                 flag += " spread>bound/3"
             if d > m["bound"]:
                 flag += " WORSE>BOUND"

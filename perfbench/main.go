@@ -27,14 +27,18 @@ import (
 )
 
 // bench is one workload. setup prepares fresh state under dir; measure
-// runs the timed part until the limit says stop; the rest report what
-// measure saw. A bench value is used for one setup and one measure;
-// close may be called more than once.
+// runs the timed part until the limit says stop; verify checks what it
+// produced; the rest report what measure saw. A bench value is used for
+// one setup, one measure and one verify; close may be called more than
+// once.
 type bench interface {
 	setup(dir string) error
-	// measure runs the timed part and returns how long it took, leaving
-	// out any output checks that follow it.
+	// measure runs the timed part and returns how long it took.
 	measure(lim limit, tr *tracer) (time.Duration, error)
+	// verify runs the output checks that follow the timed part. It is
+	// neither timed nor profiled; a mismatch counts as a failed
+	// operation.
+	verify() error
 	// ops counts the units of work measure completed; a traced pass
 	// repeats exactly that many.
 	ops() int
@@ -51,14 +55,13 @@ type bench interface {
 }
 
 var workloads = map[string]func(seed uint64) bench{
-	"soc-train":    newSocTrain,
-	"screen-sweep": newScreenSweep,
-	"serve-mix":    newServeMix,
+	"soc-train": newSocTrain,
+	"serve-mix": newServeMix,
 }
 
 // setupReps is how many times a timed run sets its workload up; setup_s
-// is the median.
-const setupReps = 3
+// is the median, which rides out the host's short bursts of contention.
+const setupReps = 7
 
 func main() {
 	names := make([]string, 0, len(workloads))
@@ -165,16 +168,24 @@ func (r runner) timed(cat catalog) (*result, error) {
 	if _, err := b.measure(limit{deadline: time.Now().Add(r.budget)}, nil); err != nil {
 		return nil, fmt.Errorf("%s: %w", r.name, err)
 	}
-	rss := peakRSSMB() // before the metrics' own bookkeeping allocates
+	rss := peakRSSMB() // before the checks and bookkeeping allocate
+	if err := b.verify(); err != nil {
+		return nil, fmt.Errorf("%s: %w", r.name, err)
+	}
 
 	m := metrics{}
 	if err := b.endToEnd(m); err != nil {
 		return nil, err
 	}
+	refs, refsFailed, err := checkReferences()
+	if err != nil {
+		return nil, err
+	}
+	attempted, failed := b.attempted()+refs, b.failed()+refsFailed
 	m["setup_s"] = median(setups)
 	m["peak_rss_mb"] = rss
-	m["success_rate"] = 1 - float64(b.failed())/float64(b.attempted())
-	return newResult(m, cat.endToEnd, true, b.attempted(), b.failed())
+	m["success_rate"] = 1 - float64(failed)/float64(attempted)
+	return newResult(m, cat.endToEnd, true, attempted, failed)
 }
 
 // traced is the per-layer run: an untraced pass for half the budget,
@@ -188,6 +199,9 @@ func (r runner) traced(cat catalog) (*result, error) {
 	}
 	defer plain.close()
 	plainElapsed, err := plain.measure(limit{deadline: time.Now().Add(r.budget / 2)}, nil)
+	if err == nil {
+		err = plain.verify()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", r.name, err)
 	}
@@ -209,6 +223,9 @@ func (r runner) traced(cat catalog) (*result, error) {
 	}
 	tracedElapsed, merr := b.measure(limit{ops: plain.ops()}, tr)
 	raw := prof.stop()
+	if merr == nil {
+		merr = b.verify()
+	}
 	if merr != nil {
 		return nil, fmt.Errorf("%s traced: %w", r.name, merr)
 	}
@@ -229,7 +246,12 @@ func (r runner) traced(cat catalog) (*result, error) {
 		return nil, err
 	}
 
-	attempted, failed := plain.attempted()+b.attempted(), plain.failed()+b.failed()
+	refs, refsFailed, err := checkReferences()
+	if err != nil {
+		return nil, err
+	}
+	attempted := plain.attempted() + b.attempted() + refs
+	failed := plain.failed() + b.failed() + refsFailed
 	if a, bd := plain.digests(), b.digests(); !slices.Equal(a, bd) {
 		// Tracing must never change an output.
 		attempted++
