@@ -80,3 +80,49 @@ func TestGoldenFigure8Report(t *testing.T) {
 		t.Errorf("Figure 8 report drifted from the pre-refactor bytes\n%s", diffAt(got, want))
 	}
 }
+
+// TestGoldenGridReports pins the grid experiments' reports at every
+// fidelity: sweep (two Tiny scenarios) and learners (Tiny), each at
+// full, screening and auto. The files were rendered before sweep and
+// learners were rewritten around a single cell function per grid that
+// only varies the executor (simulator or calibrated estimator), so any
+// drift in training, measurement, normalization, escalation or note
+// rendering on any path shows up here as a diff.
+func TestGoldenGridReports(t *testing.T) {
+	sweepOpt := func(fid string) Options {
+		opt := Tiny()
+		opt.SweepScenarios = 2
+		opt.Fidelity = fid
+		return opt
+	}
+	learnersOpt := func(fid string) Options {
+		opt := Tiny()
+		opt.Fidelity = fid
+		return opt
+	}
+	for _, fid := range []string{FidelityFull, FidelityScreening, FidelityAuto} {
+		fid := fid
+		t.Run("sweep/"+fid, func(t *testing.T) {
+			memoTestSetup(t)
+			res, err := Sweep(sweepOpt(fid))
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("golden_sweep_%s_tiny.txt", fid)
+			if got, want := res.Render(), mustGolden(t, name); got != want {
+				t.Errorf("sweep report at fidelity=%s drifted\n%s", fid, diffAt(got, want))
+			}
+		})
+		t.Run("learners/"+fid, func(t *testing.T) {
+			memoTestSetup(t)
+			res, err := Learners(learnersOpt(fid))
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("golden_learners_%s_tiny.txt", fid)
+			if got, want := res.Render(), mustGolden(t, name); got != want {
+				t.Errorf("learners report at fidelity=%s drifted\n%s", fid, diffAt(got, want))
+			}
+		})
+	}
+}
