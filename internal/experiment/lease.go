@@ -16,9 +16,10 @@ import (
 // processes (batch -shared runs, multiple serve instances, or a mix)
 // cooperatively execute one sweep/learners grid over a single shared
 // cache directory, coordinated only through the store — no network, no
-// leader. Each worker claims a cell by atomically creating a
-// checksummed lease file under <cache-dir>/leases/<checkpoint-key>/,
-// renews a heartbeat counter while computing, publishes the result as
+// leader. Each worker claims a cell by atomically publishing a
+// checksummed lease file under <cache-dir>/leases/<checkpoint-key>/
+// (sealed in a temp file, then hard-linked into place), renews a
+// heartbeat counter while computing, publishes the result as
 // the ordinary checkpoint cell, and then deletes the lease. Survivors
 // detect dead holders by watching the renewal counter: a lease whose
 // (token, renewals) pair has not advanced for a full TTL on the
@@ -63,7 +64,7 @@ type LeaseStats struct {
 	// Reclaimed counts stale leases this process actually took (won the
 	// reclaim rename); at most one worker ever wins each.
 	Reclaimed int64
-	// Contended counts acquire races lost: the exclusive create found a
+	// Contended counts acquire races lost: the exclusive link found a
 	// lease another worker published first.
 	Contended int64
 	// Lost counts held leases observed taken away (reclaimed by a peer
@@ -264,34 +265,28 @@ func (lt *leaseTable) claim(i int) (token uint64, claimed bool, err error) {
 	}
 }
 
-// acquire publishes a fresh lease for cell i via exclusive create: of
-// any number of racing workers, exactly one wins the O_EXCL. A failed
-// write after a won create withdraws the lease rather than leaving a
-// torn file to wedge the cell for a TTL.
+// acquire publishes a fresh lease for cell i: the sealed envelope is
+// written to a private temp file first and then hard-linked into place.
+// link(2) fails with EEXIST when the path exists, so of any number of
+// racing workers exactly one wins, and the cell path only ever holds a
+// complete lease — a racing read can never find an empty or torn file,
+// judge it corrupt, quarantine it and free the path for a second winner.
 func (lt *leaseTable) acquire(i int, tok uint64) (uint64, bool, error) {
 	if err := faultinject.Check(faultinject.LeaseAcquire); err != nil {
 		return 0, false, err
 	}
-	data, err := sealBlob(leaseVersion, &leaseImage{Holder: lt.holder, Token: tok})
+	tmp, err := lt.sealTemp(&leaseImage{Holder: lt.holder, Token: tok})
 	if err != nil {
 		return 0, false, err
 	}
-	f, err := os.OpenFile(lt.path(i), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	err = os.Link(tmp, lt.path(i))
+	os.Remove(tmp)
 	if err != nil {
 		if os.IsExist(err) {
 			leaseContended.Add(1)
 			return 0, false, nil
 		}
 		return 0, false, err
-	}
-	_, werr := f.Write(data)
-	cerr := f.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(lt.path(i))
-		return 0, false, werr
 	}
 	leaseAcquired.Add(1)
 	lt.mu.Lock()
@@ -300,6 +295,30 @@ func (lt *leaseTable) acquire(i int, tok uint64) (uint64, bool, error) {
 	}
 	lt.mu.Unlock()
 	return tok, true, nil
+}
+
+// sealTemp writes a sealed lease image to a fresh temp file in the lease
+// directory and returns its name; on failure nothing is left behind.
+// The fsck sweeps temp files orphaned by a kill between write and
+// publish.
+func (lt *leaseTable) sealTemp(img *leaseImage) (string, error) {
+	data, err := sealBlob(leaseVersion, img)
+	if err != nil {
+		return "", err
+	}
+	f, err := os.CreateTemp(lt.dir, fmt.Sprintf(".lease-%d-*.tmp", os.Getpid()))
+	if err != nil {
+		return "", err
+	}
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return "", err
+	}
+	return f.Name(), nil
 }
 
 // renew advances the heartbeat counter of a held lease via temp file +
@@ -321,25 +340,12 @@ func (lt *leaseTable) renew(i int, tok uint64) error {
 		return err
 	}
 	img.Renewals++
-	data, err := sealBlob(leaseVersion, &img)
+	tmp, err := lt.sealTemp(&img)
 	if err != nil {
 		return err
 	}
-	f, err := os.CreateTemp(lt.dir, fmt.Sprintf(".lease-%d-*.tmp", os.Getpid()))
-	if err != nil {
-		return err
-	}
-	if _, err = f.Write(data); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return err
-	}
-	if err = f.Close(); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	if err = os.Rename(f.Name(), lt.path(i)); err != nil {
-		os.Remove(f.Name())
+	if err = os.Rename(tmp, lt.path(i)); err != nil {
+		os.Remove(tmp)
 		return err
 	}
 	leaseRenewed.Add(1)

@@ -68,7 +68,7 @@ func TestLeaseAcquireIsExclusive(t *testing.T) {
 	if st.Acquired != 1 {
 		t.Errorf("Acquired = %d, want 1", st.Acquired)
 	}
-	// Losers either lost the O_EXCL race (counted Contended) or read the
+	// Losers either lost the link race (counted Contended) or read the
 	// winner's lease before even trying (skipped, uncounted); both are
 	// losses, neither is an acquisition.
 	if st.Contended > racers-1 {

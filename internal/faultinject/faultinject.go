@@ -65,7 +65,7 @@ const (
 	ManifestWrite Point = "manifest.write"
 	// ManifestRename guards the atomic rename publishing a job manifest.
 	ManifestRename Point = "manifest.rename"
-	// LeaseAcquire guards the exclusive create that claims a grid cell's
+	// LeaseAcquire guards the exclusive publish that claims a grid cell's
 	// lease in shared (multi-process) mode.
 	LeaseAcquire Point = "lease.acquire"
 	// LeaseRenew guards a heartbeat renewal of a held lease.
