@@ -75,10 +75,10 @@ func Ablation(opt Options) (*AblationResult, error) {
 		if err != nil {
 			return err
 		}
-		if err := trainCohmeleon(ctx, cfg, agent, train, opt.TrainIterations, opt.Seed+7); err != nil {
+		if err := trainCohmeleon(ctx, simulator(cfg), agent, train, opt.TrainIterations, opt.Seed+7); err != nil {
 			return err
 		}
-		res, err := testPolicy(ctx, cfg, agent, test, opt.Seed+3)
+		res, err := testPolicy(ctx, simulator(cfg), agent, test, opt.Seed+3)
 		if err != nil {
 			return err
 		}

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -217,6 +218,38 @@ func TestAutoSweepMatchesFullWinners(t *testing.T) {
 	}
 	if !strings.Contains(auto.Render(), "fidelity=auto") {
 		t.Fatal("auto report missing the fidelity note")
+	}
+}
+
+// TestContenders pins the shared escalation trigger on hand-made exec
+// vectors: the sweep escalates a cell when the mask is non-nil (two or
+// more contenders), and learners escalates exactly the marked stacks.
+// The Tiny grids escalate every cell, so only this test reaches the
+// learners path that keeps screened values beside escalated ones.
+func TestContenders(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		execs []float64
+		band  float64
+		want  []bool // nil: no contest, nothing escalates
+	}{
+		{"empty", nil, 0.5, nil},
+		{"single entry", []float64{1.0}, 0.5, nil},
+		{"no contenders", []float64{1.0, 2.0, 3.0}, 0.1, nil},
+		{"exactly two", []float64{1.3, 1.0, 1.05, 2.0}, 0.1, []bool{false, true, true, false}},
+		{"all within the band", []float64{1.0, 1.02, 1.05}, 0.1, []bool{true, true, true}},
+		{"tie at the best", []float64{2.0, 1.0, 1.0}, 0, []bool{false, true, true}},
+		{"band edge is inclusive", []float64{1.0, 1.5}, 0.5, []bool{true, true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := contenders(tc.execs, tc.band)
+			if sweepEscalates, want := got != nil, tc.want != nil; sweepEscalates != want {
+				t.Fatalf("sweep escalation = %v, want %v (mask %v)", sweepEscalates, want, got)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Fatalf("learners mask = %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
 

@@ -43,7 +43,7 @@ func Figure5(opt Options) (*Fig5Result, error) {
 	results := make([]*workload.AppResult, len(policies))
 	ctx := opt.ctx()
 	if err := forEachOpt(opt, len(policies), func(i int) error {
-		res, err := testPolicy(ctx, cfg, policies[i], test, opt.Seed+3)
+		res, err := testPolicy(ctx, simulator(cfg), policies[i], test, opt.Seed+3)
 		results[i] = res
 		return err
 	}); err != nil {

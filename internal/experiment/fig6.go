@@ -109,12 +109,12 @@ func Figure6(opt Options) (*Fig6Result, error) {
 			if err != nil {
 				return err
 			}
-			if err := trainCohmeleon(ctx, cfg, agent, train, opt.Fig6TrainIterations, opt.Seed+uint64(100*mi)); err != nil {
+			if err := trainCohmeleon(ctx, simulator(cfg), agent, train, opt.Fig6TrainIterations, opt.Seed+uint64(100*mi)); err != nil {
 				return err
 			}
 			pol, label, wlabel = agent, "cohmeleon", w.String()
 		}
-		res, err := testPolicy(ctx, cfg, pol, test, opt.Seed+3)
+		res, err := testPolicy(ctx, simulator(cfg), pol, test, opt.Seed+3)
 		if err != nil {
 			return err
 		}

@@ -47,7 +47,7 @@ func Figure7(opt Options) (*Fig7Result, error) {
 	results := make([]*workload.AppResult, len(pols))
 	ctx := opt.ctx()
 	if err := forEachOpt(opt, len(pols), func(i int) error {
-		res, err := testPolicy(ctx, cfg, pols[i], test, opt.Seed+3)
+		res, err := testPolicy(ctx, simulator(cfg), pols[i], test, opt.Seed+3)
 		results[i] = res
 		return err
 	}); err != nil {

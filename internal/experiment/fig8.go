@@ -57,7 +57,7 @@ func Figure8(opt Options) (*Fig8Result, error) {
 		}
 
 		record := func(iter int) error {
-			res, err := testPolicy(ctx, cfg, agent, test, opt.Seed+3)
+			res, err := testPolicy(ctx, simulator(cfg), agent, test, opt.Seed+3)
 			if err != nil {
 				return err
 			}
@@ -72,7 +72,7 @@ func Figure8(opt Options) (*Fig8Result, error) {
 			return err
 		}
 		for i := 1; i <= schedule; i++ {
-			if err := trainCohmeleon(ctx, cfg, agent, train, 1, opt.Seed+uint64(i)); err != nil {
+			if err := trainCohmeleon(ctx, simulator(cfg), agent, train, 1, opt.Seed+uint64(i)); err != nil {
 				return err
 			}
 			if err := record(i); err != nil {

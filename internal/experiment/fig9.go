@@ -90,7 +90,7 @@ func Figure9(opt Options) (*Fig9Result, error) {
 	ctx := opt.ctx()
 	if err := forEachOpt(opt, len(results), func(i int) error {
 		ci, pi := i/perSoC, i%perSoC
-		res, err := testPolicy(ctx, cfgs[ci], policies[ci][pi], tests[ci], opt.Seed+3)
+		res, err := testPolicy(ctx, simulator(cfgs[ci]), policies[ci][pi], tests[ci], opt.Seed+3)
 		results[i] = res
 		return err
 	}); err != nil {

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"cohmeleon/internal/core"
+	"cohmeleon/internal/costmodel"
 	"cohmeleon/internal/esp"
 	"cohmeleon/internal/mem"
 	"cohmeleon/internal/policy"
@@ -88,13 +89,39 @@ func simulateApp(cfg *soc.Config, pol esp.Policy, app *workload.App, seed uint64
 	return res, err
 }
 
+// executor runs one application under a policy. It is the seam between
+// an experiment and whatever produces its measurements: grid cells,
+// training loops and policy tests are written once against it, and
+// fidelity only decides which executor they get.
+type executor func(ctx context.Context, pol esp.Policy, app *workload.App, seed uint64) (*workload.AppResult, error)
+
+// simulator executes cycle-accurately on cfg, through the run cache.
+func simulator(cfg *soc.Config) executor {
+	return func(ctx context.Context, pol esp.Policy, app *workload.App, seed uint64) (*workload.AppResult, error) {
+		return runApp(ctx, cfg, pol, app, seed)
+	}
+}
+
+// estimator executes through a calibrated analytical model. Like runApp
+// it observes the context only at the run boundary. The estimate is a
+// deterministic function of policy and application, so the seed is
+// ignored.
+func estimator(est *costmodel.Estimator) executor {
+	return func(ctx context.Context, pol esp.Policy, app *workload.App, _ uint64) (*workload.AppResult, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("experiment: run aborted: %w", err)
+		}
+		return est.Run(pol, app)
+	}
+}
+
 // trainCohmeleon runs the agent through iters training iterations of the
 // training application (fresh SoC each iteration, as each FPGA run
 // reboots the platform but the learned table persists).
-func trainCohmeleon(ctx context.Context, cfg *soc.Config, agent *core.Cohmeleon, train *workload.App, iters int, seed uint64) error {
+func trainCohmeleon(ctx context.Context, run executor, agent *core.Cohmeleon, train *workload.App, iters int, seed uint64) error {
 	agent.Unfreeze()
 	for i := 0; i < iters; i++ {
-		if _, err := runApp(ctx, cfg, agent, train, seed+uint64(i)); err != nil {
+		if _, err := run(ctx, agent, train, seed+uint64(i)); err != nil {
 			return err
 		}
 		agent.EndIteration()
@@ -114,7 +141,7 @@ type freezer interface {
 
 // testPolicy evaluates a policy on the test application; learning
 // policies are frozen for the measurement and restored afterwards.
-func testPolicy(ctx context.Context, cfg *soc.Config, pol esp.Policy, test *workload.App, seed uint64) (*workload.AppResult, error) {
+func testPolicy(ctx context.Context, run executor, pol esp.Policy, test *workload.App, seed uint64) (*workload.AppResult, error) {
 	if agent, ok := pol.(freezer); ok {
 		wasFrozen := agent.Frozen()
 		agent.Freeze()
@@ -124,7 +151,7 @@ func testPolicy(ctx context.Context, cfg *soc.Config, pol esp.Policy, test *work
 			}
 		}()
 	}
-	return runApp(ctx, cfg, pol, test, seed)
+	return run(ctx, pol, test, seed)
 }
 
 // profileHeterogeneous derives the fixed-heterogeneous assignment the
@@ -270,7 +297,7 @@ func policySet(cfg *soc.Config, opt Options, weights core.RewardWeights) ([]esp.
 	var het *policy.FixedHeterogeneous
 	if err := forEachOpt(opt, 2, func(i int) error {
 		if i == 0 {
-			return trainCohmeleon(opt.ctx(), cfg, agent, train, opt.TrainIterations, opt.Seed+7)
+			return trainCohmeleon(opt.ctx(), simulator(cfg), agent, train, opt.TrainIterations, opt.Seed+7)
 		}
 		var err error
 		het, err = profileHeterogeneous(cfg, opt)

@@ -8,7 +8,6 @@ import (
 	"cohmeleon/internal/costmodel"
 	"cohmeleon/internal/learn"
 	"cohmeleon/internal/policy"
-	"cohmeleon/internal/scenario"
 	"cohmeleon/internal/soc"
 	"cohmeleon/internal/stats"
 	"cohmeleon/internal/workload"
@@ -156,25 +155,16 @@ func Learners(opt Options) (*LearnersResult, error) {
 		return nil, err
 	}
 	ctx := opt.ctx()
-	spec := scenario.DefaultSpec()
-	spec.MinInvocations = opt.MinInvocations
-	if opt.Protocol != "" {
-		spec.SoC.Protocols = []string{opt.Protocol}
-	}
-	scens, err := scenario.Sample(spec, opt.LearnerScenarios, opt.Seed)
+	scens, err := sampleScenarios(opt, opt.LearnerScenarios, opt.MinInvocations, opt.Seed)
 	if err != nil {
 		return nil, err
 	}
 	stacks := stacksFor(opt)
 
-	// Non-full fidelity calibrates (or revives) the analytical model
-	// before any fan-out; one model serves every cell.
 	fid := opt.fidelityMode()
-	var model *costmodel.Model
-	if fid != FidelityFull {
-		if model, err = calibratedModel(ctx, opt); err != nil {
-			return nil, fmt.Errorf("learners: %w", err)
-		}
+	model, err := gridModel(ctx, opt)
+	if err != nil {
+		return nil, fmt.Errorf("learners: %w", err)
 	}
 
 	// Replay is on whenever shared mode is, so workers adopt the cells
@@ -186,16 +176,15 @@ func Learners(opt Options) (*LearnersResult, error) {
 
 	// Stage 1: per scenario, generate the (deterministic) training and
 	// test applications once — every stack reuses them read-only, like
-	// fig7's concurrent trials share one test app — and run the
-	// normalization baseline. At full fidelity the baseline is the
-	// cycle-accurate run it always was; otherwise it is analytical (a
-	// screened cell must normalize against the same model that produced
-	// it), and escalated auto cells fetch the cycle-accurate baseline
-	// lazily through the memoized run path, deduped across cells.
+	// fig7's concurrent trials share one test app — pick the fidelity's
+	// executor, and run the normalization baseline on it (a cell must
+	// normalize against the same executor that produced it). Escalated
+	// auto cells fetch the cycle-accurate baseline lazily through the
+	// memoized run path, deduped across cells.
 	type prep struct {
 		train, test *workload.App
+		run         executor
 		baseline    *workload.AppResult
-		est         *costmodel.Estimator
 	}
 	preps := make([]prep, len(scens))
 	if err := forEachOpt(opt, len(scens), func(i int) error {
@@ -209,14 +198,8 @@ func Learners(opt Options) (*LearnersResult, error) {
 			return err
 		}
 		p := prep{train: train, test: test}
-		if fid == FidelityFull {
-			p.baseline, err = runApp(ctx, sc.Cfg, policy.NewFixed(soc.NonCohDMA), test, sc.Seed+3)
-		} else {
-			var ex *costmodel.Extractor
-			if ex, err = costmodel.NewExtractor(sc.Cfg); err == nil {
-				p.est = costmodel.NewEstimator(ex, model)
-				p.baseline, err = p.est.Run(policy.NewFixed(soc.NonCohDMA), test)
-			}
+		if p.run, err = executorFor(sc.Cfg, model); err == nil {
+			p.baseline, err = p.run(ctx, policy.NewFixed(soc.NonCohDMA), test, sc.Seed+3)
 		}
 		preps[i] = p
 		return err
@@ -224,23 +207,62 @@ func Learners(opt Options) (*LearnersResult, error) {
 		return nil, err
 	}
 
+	// measure computes cell i on its scenario's executor, or on the
+	// simulator when auto escalated it. Seeds mirror the sweep's
+	// per-scenario derivation, so the "q+linear" row of a 1-scenario run
+	// matches the sweep's "cohmeleon" measurement on the same scenario.
+	measure := func(i int, escalated bool) (learnerCell, error) {
+		si, ki := i/len(stacks), i%len(stacks)
+		sc, st, p := scens[si], stacks[ki], preps[si]
+		if escalated {
+			p.run = simulator(sc.Cfg)
+			var err error
+			if p.baseline, err = p.run(ctx, policy.NewFixed(soc.NonCohDMA), p.test, sc.Seed+3); err != nil {
+				return learnerCell{}, fmt.Errorf("%s: %s: baseline: %w", sc.Cfg.Name, st.Label(), err)
+			}
+		}
+		agentCfg := agentConfig(opt)
+		agentCfg.Seed = opt.Seed + sc.Seed
+		agentCfg.Learner = st.Algorithm
+		agentCfg.Schedule = st.Schedule
+		agent, err := core.New(agentCfg)
+		if err != nil {
+			return learnerCell{}, err
+		}
+		if err := trainCohmeleon(ctx, p.run, agent, p.train, opt.TrainIterations, sc.Seed+7); err != nil {
+			return learnerCell{}, fmt.Errorf("%s: %s: training: %w", sc.Cfg.Name, st.Label(), err)
+		}
+		agent.ResetDecisions()
+		res, err := testPolicy(ctx, p.run, agent, p.test, sc.Seed+3)
+		if err != nil {
+			return learnerCell{}, fmt.Errorf("%s: %s: %w", sc.Cfg.Name, st.Label(), err)
+		}
+		exec, mem := geoNormalized(res, p.baseline)
+		cell := learnerCell{exec: exec, mem: mem, decisions: agent.Decisions(),
+			screened: fid != FidelityFull, escalated: escalated}
+		switch {
+		case escalated:
+			fidelityCounters.escalated.Add(1)
+		case cell.screened:
+			fidelityCounters.screened.Add(1)
+		}
+		return cell, nil
+	}
+
 	// Auto pre-pass: screen every cell analytically, then — serially, in
 	// index order, so the decision is identical for any worker count —
-	// mark for escalation every cell whose screened estimate sits within
-	// the model's error band of its scenario's best, wherever the band
-	// holds at least two contenders. Cells outside the band keep their
-	// screened values; the contenders re-run cycle-accurately below.
+	// mark for escalation the contenders of every scenario whose
+	// screened estimates put at least two stacks within the model's
+	// error band of the best. Cells outside the band keep their screened
+	// values; the contenders re-run cycle-accurately in the grid below.
 	cells := make([]learnerCell, len(scens)*len(stacks))
 	escalate := make([]bool, len(cells))
 	var screened []learnerCell
 	if fid == FidelityAuto {
 		screened = make([]learnerCell, len(cells))
 		if err := forEachOpt(opt, len(cells), func(i int) error {
-			si, ki := i/len(stacks), i%len(stacks)
 			var err error
-			screened[i], err = screenLearnerCell(scens[si], stacks[ki], opt, preps[si].est,
-				preps[si].train, preps[si].test, preps[si].baseline)
-			fidelityCounters.screened.Add(1)
+			screened[i], err = measure(i, false)
 			return err
 		}); err != nil {
 			return nil, err
@@ -251,26 +273,11 @@ func Learners(opt Options) (*LearnersResult, error) {
 			for ki := range stacks {
 				execs[ki] = screened[si*len(stacks)+ki].exec
 			}
-			if !ambiguous(execs, band) {
-				continue
-			}
-			best := execs[0]
-			for _, e := range execs[1:] {
-				if e < best {
-					best = e
-				}
-			}
-			for ki := range stacks {
-				if execs[ki] <= best*(1+band) {
-					escalate[si*len(stacks)+ki] = true
-				}
-			}
+			copy(escalate[si*len(stacks):], contenders(execs, band))
 		}
 	}
 
-	// Stage 2: the full grid. Seeds mirror the sweep's per-scenario
-	// derivation, so the "q+linear" row of a 1-scenario run matches the
-	// sweep's "cohmeleon" measurement on the same scenario.
+	// Stage 2: the grid, checkpointed cell by cell.
 	loadCell := func(i int) bool {
 		var img learnerCellImage
 		if !ck.load(i, &img) {
@@ -282,48 +289,14 @@ func Learners(opt Options) (*LearnersResult, error) {
 		return true
 	}
 	computeCell := func(i int) error {
-		si, ki := i/len(stacks), i%len(stacks)
-		sc, st := scens[si], stacks[ki]
-		train, test := preps[si].train, preps[si].test
-		switch {
-		case fid == FidelityScreening:
-			cell, err := screenLearnerCell(sc, st, opt, preps[si].est, train, test, preps[si].baseline)
-			if err != nil {
-				return err
-			}
-			fidelityCounters.screened.Add(1)
-			cells[i] = cell
-		case fid == FidelityAuto && !escalate[i]:
+		if fid == FidelityAuto && !escalate[i] {
 			cells[i] = screened[i]
-		default:
-			agentCfg := agentConfig(opt)
-			agentCfg.Seed = opt.Seed + sc.Seed
-			agentCfg.Learner = st.Algorithm
-			agentCfg.Schedule = st.Schedule
-			agent, err := core.New(agentCfg)
+		} else {
+			cell, err := measure(i, escalate[i])
 			if err != nil {
 				return err
 			}
-			if err := trainCohmeleon(ctx, sc.Cfg, agent, train, opt.TrainIterations, sc.Seed+7); err != nil {
-				return fmt.Errorf("%s: %s: training: %w", sc.Cfg.Name, st.Label(), err)
-			}
-			agent.ResetDecisions()
-			res, err := testPolicy(ctx, sc.Cfg, agent, test, sc.Seed+3)
-			if err != nil {
-				return fmt.Errorf("%s: %s: %w", sc.Cfg.Name, st.Label(), err)
-			}
-			baseline := preps[si].baseline
-			if fid != FidelityFull {
-				// Escalated cell: cycle-accurate values need the
-				// cycle-accurate baseline (memoized, shared across cells).
-				if baseline, err = runApp(ctx, sc.Cfg, policy.NewFixed(soc.NonCohDMA), test, sc.Seed+3); err != nil {
-					return fmt.Errorf("%s: %s: baseline: %w", sc.Cfg.Name, st.Label(), err)
-				}
-				fidelityCounters.escalated.Add(1)
-			}
-			exec, mem := geoNormalized(res, baseline)
-			cells[i] = learnerCell{exec: exec, mem: mem, decisions: agent.Decisions(),
-				screened: fid != FidelityFull, escalated: fid != FidelityFull}
+			cells[i] = cell
 		}
 		ck.save(i, &learnerCellImage{Exec: cells[i].exec, Mem: cells[i].mem,
 			Decisions: cells[i].decisions, Screened: cells[i].screened, Escalated: cells[i].escalated})
@@ -360,25 +333,10 @@ func Learners(opt Options) (*LearnersResult, error) {
 		}
 		out.Rows = append(out.Rows, row)
 	}
-	for si := range scens {
-		sc := scens[si]
-		out.Scenarios = append(out.Scenarios, SweepScenarioInfo{
-			Name:  sc.Cfg.Name,
-			MeshW: sc.Cfg.MeshW, MeshH: sc.Cfg.MeshH,
-			CPUs: sc.Cfg.CPUs, MemTiles: sc.Cfg.MemTiles,
-			LLCSliceKB: sc.Cfg.LLCSliceKB, L2KB: sc.Cfg.L2KB,
-			Accs: len(sc.Cfg.Accs),
-		})
+	for _, sc := range scens {
+		out.Scenarios = append(out.Scenarios, scenarioInfo(sc.Cfg, 0))
 	}
-	if fid != FidelityFull {
-		escalated := 0
-		for i := range cells {
-			if cells[i].escalated {
-				escalated++
-			}
-		}
-		out.Notes = append(out.Notes, fidelityNotes(fid, model, escalated, len(cells))...)
-	}
+	out.Notes = fidelityNotes(fid, model, len(cells), func(i int) bool { return cells[i].escalated })
 	return out, nil
 }
 

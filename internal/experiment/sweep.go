@@ -146,11 +146,12 @@ func sweepPolicies(sc scenario.Scenario, opt Options, loaded *learn.TabularState
 	return pols, agent, nil
 }
 
-// sweepScenario trains and measures one scenario: the agent learns on
-// the scenario's training application, then every policy runs the test
-// application on a fresh SoC. All seeds derive from the scenario, so
-// the outcome is independent of which worker runs it.
-func sweepScenario(ctx context.Context, sc scenario.Scenario, opt Options, loaded *learn.TabularState) (sweepPerScenario, error) {
+// sweepScenario trains and measures one scenario on the executor its
+// fidelity picked: the agent learns on the scenario's training
+// application, then every policy runs the test application. All seeds
+// derive from the scenario, so the outcome is independent of which
+// worker runs it.
+func sweepScenario(ctx context.Context, sc scenario.Scenario, opt Options, loaded *learn.TabularState, run executor) (sweepPerScenario, error) {
 	out := sweepPerScenario{}
 	train, err := sc.App(1000)
 	if err != nil {
@@ -164,12 +165,12 @@ func sweepScenario(ctx context.Context, sc scenario.Scenario, opt Options, loade
 	if err != nil {
 		return out, err
 	}
-	if err := trainCohmeleon(ctx, sc.Cfg, agent, train, opt.TrainIterations, sc.Seed+7); err != nil {
+	if err := trainCohmeleon(ctx, run, agent, train, opt.TrainIterations, sc.Seed+7); err != nil {
 		return out, fmt.Errorf("%s: training: %w", sc.Cfg.Name, err)
 	}
 	results := make([]*workload.AppResult, len(pols))
 	for i, pol := range pols {
-		res, err := testPolicy(ctx, sc.Cfg, pol, test, sc.Seed+3)
+		res, err := testPolicy(ctx, run, pol, test, sc.Seed+3)
 		if err != nil {
 			return out, fmt.Errorf("%s: %s: %w", sc.Cfg.Name, pol.Name(), err)
 		}
@@ -183,41 +184,63 @@ func sweepScenario(ctx context.Context, sc scenario.Scenario, opt Options, loade
 		out.mems = append(out.mems, mem)
 	}
 	out.state = agent.LearnerState()
-	out.info = SweepScenarioInfo{
-		Name:  sc.Cfg.Name,
-		MeshW: sc.Cfg.MeshW, MeshH: sc.Cfg.MeshH,
-		CPUs: sc.Cfg.CPUs, MemTiles: sc.Cfg.MemTiles,
-		LLCSliceKB: sc.Cfg.LLCSliceKB, L2KB: sc.Cfg.L2KB,
-		Accs:        len(sc.Cfg.Accs),
-		Invocations: test.Invocations(),
-	}
+	out.info = scenarioInfo(sc.Cfg, test.Invocations())
 	return out, nil
 }
 
-// sweepCell evaluates one scenario at the requested fidelity. Full runs
-// the cycle-accurate sweepScenario unchanged. Screening runs everything
-// through the analytical model. Auto screens first, then — when the
-// screened per-policy execs are too close to call at the model's
-// demonstrated accuracy — discards the estimate and re-runs the cell
-// cycle-accurately, so escalated cells carry exact full-fidelity values.
-func sweepCell(ctx context.Context, sc scenario.Scenario, opt Options, loaded *learn.TabularState, fid string, model *costmodel.Model) (sweepPerScenario, error) {
-	if fid == FidelityFull {
-		return sweepScenario(ctx, sc, opt, loaded)
+// scenarioInfo summarizes a scenario's SoC for a report; invocations is
+// the test application's count (zero where the report omits it).
+func scenarioInfo(cfg *soc.Config, invocations int) SweepScenarioInfo {
+	return SweepScenarioInfo{
+		Name:  cfg.Name,
+		MeshW: cfg.MeshW, MeshH: cfg.MeshH,
+		CPUs: cfg.CPUs, MemTiles: cfg.MemTiles,
+		LLCSliceKB: cfg.LLCSliceKB, L2KB: cfg.L2KB,
+		Accs:        len(cfg.Accs),
+		Invocations: invocations,
 	}
-	res, err := screenSweepScenario(sc, opt, loaded, model)
+}
+
+// sampleScenarios draws n randomized scenarios of at least minInv
+// invocations each. A single-entry protocol axis pins every sampled
+// SoC's protocol without consuming an RNG draw, so the topology stream
+// is unchanged.
+func sampleScenarios(opt Options, n, minInv int, seed uint64) ([]scenario.Scenario, error) {
+	spec := scenario.DefaultSpec()
+	spec.MinInvocations = minInv
+	if opt.Protocol != "" {
+		spec.SoC.Protocols = []string{opt.Protocol}
+	}
+	return scenario.Sample(spec, n, seed)
+}
+
+// sweepCell evaluates one scenario at the requested fidelity. Full runs
+// sweepScenario on the simulator; screening runs it on the calibrated
+// estimator. Auto screens first, then — when the screened per-policy
+// execs are too close to call at the model's demonstrated accuracy —
+// discards the estimate and re-runs the cell on the simulator, so
+// escalated cells carry exact full-fidelity values. Non-full cells
+// never export learner state: a screened table is trained against the
+// model, not the simulator, and Options.Validate rejects QTableSave
+// under non-full fidelity for exactly that reason.
+func sweepCell(ctx context.Context, sc scenario.Scenario, opt Options, loaded *learn.TabularState, fid string, model *costmodel.Model) (sweepPerScenario, error) {
+	run, err := executorFor(sc.Cfg, model)
 	if err != nil {
+		return sweepPerScenario{}, err
+	}
+	res, err := sweepScenario(ctx, sc, opt, loaded, run)
+	if err != nil || fid == FidelityFull {
 		return res, err
 	}
 	fidelityCounters.screened.Add(1)
-	if fid == FidelityAuto && ambiguous(res.execs, escalationBand(model)) {
+	if fid == FidelityAuto && contenders(res.execs, escalationBand(model)) != nil {
 		fidelityCounters.escalated.Add(1)
-		full, err := sweepScenario(ctx, sc, opt, loaded)
-		full.screened = true
-		full.escalated = true
-		full.state = nil // non-full fidelity never exports learner state
-		return full, err
+		res, err = sweepScenario(ctx, sc, opt, loaded, simulator(sc.Cfg))
+		res.escalated = true
 	}
-	return res, nil
+	res.screened = true
+	res.state = nil
+	return res, err
 }
 
 // sweepParamHash fingerprints every input that determines a sweep
@@ -319,28 +342,17 @@ func Sweep(opt Options) (*SweepResult, error) {
 		loaded, loadedRaw = st, raw
 	}
 
-	spec := scenario.DefaultSpec()
-	spec.MinInvocations = opt.MinInvocations
-	if opt.Protocol != "" {
-		// A single-entry axis pins every sampled SoC's protocol without
-		// consuming an RNG draw, so the topology stream is unchanged.
-		spec.SoC.Protocols = []string{opt.Protocol}
-	}
-	scens, err := scenario.Sample(spec, opt.SweepScenarios, opt.Seed)
+	scens, err := sampleScenarios(opt, opt.SweepScenarios, opt.MinInvocations, opt.Seed)
 	if err != nil {
 		return nil, err
 	}
 
-	// Non-full fidelity calibrates (or revives) the analytical model
-	// before the fan-out: one model serves every cell, and its
-	// cycle-accurate calibration runs flow through the ordinary memoized
-	// run path.
+	// The model's cycle-accurate calibration runs flow through the
+	// ordinary memoized run path.
 	fid := opt.fidelityMode()
-	var model *costmodel.Model
-	if fid != FidelityFull {
-		if model, err = calibratedModel(ctx, opt); err != nil {
-			return nil, fmt.Errorf("sweep: %w", err)
-		}
+	model, err := gridModel(ctx, opt)
+	if err != nil {
+		return nil, fmt.Errorf("sweep: %w", err)
 	}
 
 	// Shared workers must adopt the cells their peers publish, so replay
@@ -404,15 +416,7 @@ func Sweep(opt Options) (*SweepResult, error) {
 		out.Scenarios = append(out.Scenarios, perScenario[si].info)
 	}
 
-	if fid != FidelityFull {
-		escalated := 0
-		for si := range perScenario {
-			if perScenario[si].escalated {
-				escalated++
-			}
-		}
-		out.Notes = append(out.Notes, fidelityNotes(fid, model, escalated, len(perScenario))...)
-	}
+	out.Notes = fidelityNotes(fid, model, len(perScenario), func(i int) bool { return perScenario[i].escalated })
 
 	if loaded != nil {
 		out.Notes = append(out.Notes, fmt.Sprintf(
