@@ -18,11 +18,13 @@ import (
 
 // enginePool reuses simulation kernels across trials. Every trial still
 // builds a fresh SoC (hardware state never survives a measurement), but
-// the engine underneath — its event heap, ready ring, and coroutine
-// wiring — carries no simulation state after a completed run, so
-// Reset + reuse stops the fan-out from re-growing kernel storage per
-// trial. Engines are returned only after a successful run: a deadlocked
-// engine still owns parked coroutine stacks and is simply dropped.
+// the engine underneath — its event heap and ready ring — carries no
+// simulation state after a completed run, so Reset + reuse stops the
+// fan-out from re-growing kernel storage per trial. Engines are
+// returned only after a successful run. A deadlocked engine still owns
+// parked process coroutines, and one whose Run panicked (a process body
+// panic reaches the Run caller) still lists its unfinished processes;
+// both are simply dropped.
 var enginePool = sync.Pool{New: func() interface{} { return sim.NewEngine() }}
 
 // pooledEngine returns an idle engine with the clock at zero.

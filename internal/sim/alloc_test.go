@@ -3,7 +3,7 @@
 package sim
 
 // Zero-allocation guards for the kernel's steady-state paths. The race
-// detector allocates shadow memory on channel operations, so these run
+// detector allocates shadow memory on synchronization, so these run
 // only in non-race builds (CI runs them as a dedicated step).
 
 import "testing"
@@ -35,7 +35,7 @@ func TestZeroAllocEventDispatch(t *testing.T) {
 }
 
 // A park/resume pair via Delay must not allocate: the wakeup is an
-// intrusive heap event and the coroutine handoff reuses its channels.
+// intrusive heap event and the coroutine switch is a runtime coroswitch.
 func TestZeroAllocProcSwitch(t *testing.T) {
 	e := NewEngine()
 	var got float64

@@ -61,3 +61,18 @@ func BenchmarkSemaphorePingPong(b *testing.B) {
 		b.Fatalf("Run: %v", err)
 	}
 }
+
+// BenchmarkProcSpawn measures a process's whole life: Go spawns it, its
+// first resume creates its coroutine, one Delay parks it, and the body
+// returns and ends the coroutine.
+func BenchmarkProcSpawn(b *testing.B) {
+	e := NewEngine()
+	body := func(p *Proc) { p.Delay(1) }
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e.Go("p", body)
+		if err := e.Run(); err != nil {
+			b.Fatalf("Run: %v", err)
+		}
+	}
+}

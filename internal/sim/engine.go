@@ -2,11 +2,12 @@
 //
 // The engine advances a virtual clock measured in Cycles and executes
 // events in (time, insertion-order) order. Long-running activities are
-// written as processes: ordinary functions running on a coroutine that
-// parks itself on the engine whenever it waits for virtual time to pass
-// or for a semaphore to be granted. Exactly one goroutine (either the
-// scheduler or a single process) runs at any instant, so simulations are
-// bit-reproducible for a given seed regardless of GOMAXPROCS.
+// written as processes: ordinary functions running on a runtime
+// coroutine (iter.Pull) that parks itself on the engine whenever it
+// waits for virtual time to pass or for a semaphore to be granted.
+// Exactly one goroutine (either the scheduler or a single process) runs
+// at any instant, so simulations are bit-reproducible for a given seed
+// regardless of GOMAXPROCS.
 //
 // The kernel is a single-owner scheduler built for zero-allocation
 // steady-state dispatch:
@@ -21,8 +22,9 @@
 //     sequence numbers strictly increase) and merged with the heap by
 //     the same (at, seq) comparator, preserving the exact dispatch
 //     order a heap push would have produced;
-//   - process bodies run on pooled coroutines, so building thousands of
-//     SoCs across an experiment fan-out does not churn goroutines.
+//   - a park or resume is a direct coroutine switch (the runtime's
+//     coroswitch), so it wakes no other OS thread and allocates nothing;
+//     a panic in a process body reaches the caller of Run.
 package sim
 
 import (

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -466,35 +467,47 @@ func TestResetPanicsWithLiveProcesses(t *testing.T) {
 	e.Reset()
 }
 
-// Sequentially completed processes reuse pooled coroutines instead of
-// spawning a goroutine each (white-box: inspects the package pool).
-func TestCoroutinesAreReused(t *testing.T) {
-	drainCoroPool()
-	e := NewEngine()
-	for round := 0; round < 8; round++ {
-		e.Go("p", func(p *Proc) { p.Delay(3) })
+// Processes that run to completion end their coroutines: many engines'
+// worth of finished processes leave no goroutine behind. The count may
+// drop (the previous test's runner goroutine can exit meanwhile), but a
+// leaked coroutine per process would raise it by hundreds.
+func TestCompletedProcessesLeaveNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		e := NewEngine()
+		sem := NewSemaphore(e, "s", 1)
+		for j := 0; j < 5; j++ {
+			e.Go("p", func(p *Proc) {
+				sem.Acquire(p)
+				p.Delay(Cycles(j + 1))
+				sem.Release()
+			})
+		}
 		if err := e.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 	}
-	coroPool.mu.Lock()
-	idle := len(coroPool.free)
-	coroPool.mu.Unlock()
-	if idle != 1 {
-		t.Fatalf("pool holds %d coroutines after 8 sequential processes, want 1 (reused)", idle)
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines went from %d to %d after 500 completed processes", before, after)
 	}
 }
 
-// drainCoroPool retires every pooled coroutine so pool-size assertions
-// start from a known state.
-func drainCoroPool() {
-	coroPool.mu.Lock()
-	free := coroPool.free
-	coroPool.free = nil
-	coroPool.mu.Unlock()
-	for _, c := range free {
-		c.quit = true
-		c.resume <- struct{}{}
+// A panic in a process body, even after it has parked, reaches the
+// caller of Run with its original value instead of killing the program.
+func TestProcPanicReachesRunCaller(t *testing.T) {
+	type boom struct{ at Cycles }
+	e := NewEngine()
+	e.Go("bomb", func(p *Proc) {
+		p.Delay(5)
+		panic(boom{at: p.Now()})
+	})
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		_ = e.Run()
+		return nil
+	}()
+	if got != (boom{at: 5}) {
+		t.Fatalf("recovered %#v around Run, want boom{at: 5}", got)
 	}
 }
 

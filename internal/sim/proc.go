@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"iter"
 )
 
 // ErrDeadlock is reported by Engine.Run when the event queue drains while
@@ -10,8 +11,8 @@ import (
 var ErrDeadlock = errors.New("deadlock")
 
 // Process states. A process always transitions on a well-defined side of
-// a coroutine handoff, so the field needs no synchronization beyond the
-// handoff channels' happens-before edges.
+// a coroutine switch, so the field needs no synchronization beyond the
+// happens-before edges iter.Pull's next/yield pair already carries.
 const (
 	procNew     = uint8(iota) // spawned; start wakeup pending on the ready ring
 	procRunning               // executing on its coroutine right now
@@ -26,8 +27,9 @@ const (
 type Proc struct {
 	eng     *Engine
 	name    string
-	c       *coro
 	fn      func(p *Proc)
+	next    func() (struct{}, bool) // scheduler side: run until the next park
+	yield   func(struct{}) bool     // process side: park until resumed
 	state   uint8
 	liveIdx int // position in eng.live, for O(1) removal
 }
@@ -35,8 +37,9 @@ type Proc struct {
 // Go spawns fn as a new process. fn starts executing at the current
 // virtual time (via an immediate wakeup) and may call the blocking
 // methods of its Proc. Go may be called from the engine (inside events)
-// or from another process. The body runs on a pooled coroutine; no
-// goroutine or channel is created on the steady-state path.
+// or from another process. The body runs on its own runtime coroutine
+// (iter.Pull), created on its first resume; switching to and from it
+// neither allocates nor wakes another OS thread.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{eng: e, name: name, fn: fn, state: procNew, liveIdx: len(e.live)}
 	e.live = append(e.live, p)
@@ -45,24 +48,28 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 }
 
 // resumeProc hands control to the process and blocks the scheduler until
-// it parks or finishes. Runs only on the scheduler goroutine.
+// it parks or finishes. Runs only on the scheduler goroutine. A panic in
+// the body ends its coroutine and is raised again here, so it reaches the
+// caller of Run with its original value.
 func (e *Engine) resumeProc(p *Proc) {
-	c := p.c
 	if p.state == procNew {
-		c = getCoro()
-		p.c = c
-		c.p = p
+		p.next, _ = iter.Pull(p.body)
 	}
 	p.state = procRunning
-	c.resume <- struct{}{}
-	<-c.yield
-	if p.state == procDone {
+	if _, ok := p.next(); !ok {
 		e.finishProc(p)
 	}
 }
 
+// body is the coroutine's sequence: it records the yield that park uses
+// and runs the process function. Returning ends the coroutine.
+func (p *Proc) body(yield func(struct{}) bool) {
+	p.yield = yield
+	p.fn(p)
+}
+
 // finishProc retires a completed process: drops it from the live set and
-// returns its coroutine to the pool.
+// releases its coroutine handles.
 func (e *Engine) finishProc(p *Proc) {
 	last := len(e.live) - 1
 	moved := e.live[last]
@@ -70,18 +77,17 @@ func (e *Engine) finishProc(p *Proc) {
 	moved.liveIdx = p.liveIdx
 	e.live[last] = nil
 	e.live = e.live[:last]
-	putCoro(p.c)
-	p.c = nil
+	p.state = procDone
+	p.fn, p.next, p.yield = nil, nil, nil
 }
 
 // park suspends the process until the scheduler resumes it; state
 // records why (timer or blocked) for deadlock diagnostics. Runs only on
-// the process's coroutine.
+// the process's coroutine. yield never reports false: the coroutine's
+// stop function is never called.
 func (p *Proc) park(state uint8) {
 	p.state = state
-	c := p.c
-	c.yield <- struct{}{}
-	<-c.resume
+	p.yield(struct{}{})
 }
 
 // Name returns the process name (for diagnostics).

@@ -108,12 +108,8 @@ func (t *ThreadSpec) Validate(cfg *soc.Config) error {
 	if len(t.Chain) == 0 {
 		return fmt.Errorf("workload: thread %s with empty chain", t.Name)
 	}
-	known := make(map[string]bool)
-	for _, a := range cfg.Accs {
-		known[a.InstName] = true
-	}
 	for _, inst := range t.Chain {
-		if !known[inst] {
+		if !hasAcc(cfg, inst) {
 			return fmt.Errorf("workload: thread %s references unknown accelerator %q", t.Name, inst)
 		}
 	}
@@ -121,6 +117,18 @@ func (t *ThreadSpec) Validate(cfg *soc.Config) error {
 		return fmt.Errorf("workload: thread %s with bad touch fractions", t.Name)
 	}
 	return nil
+}
+
+// hasAcc reports whether cfg has an accelerator instance named inst. A
+// linear scan rather than a set: chains name a few accelerators, and
+// Validate runs on every estimate, so it must not allocate.
+func hasAcc(cfg *soc.Config, inst string) bool {
+	for i := range cfg.Accs {
+		if cfg.Accs[i].InstName == inst {
+			return true
+		}
+	}
+	return false
 }
 
 // PhaseSpec is one application phase: threads launched together; the

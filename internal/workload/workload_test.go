@@ -169,8 +169,9 @@ func TestValidateCatchesErrors(t *testing.T) {
 		Name:    "p",
 		Threads: []ThreadSpec{{Name: "t", FootprintBytes: 1 << 10, Chain: []string{"ghost"}, Loops: 1}},
 	}}}
-	if err := bad.Validate(cfg); err == nil {
-		t.Fatal("unknown accelerator should fail validation")
+	const want = `workload: thread t references unknown accelerator "ghost"`
+	if err := bad.Validate(cfg); err == nil || err.Error() != want {
+		t.Fatalf("unknown accelerator: got error %v, want %q", err, want)
 	}
 	empty := &App{Name: "empty"}
 	if err := empty.Validate(cfg); err == nil {

@@ -75,7 +75,7 @@ run_bench ./internal/soc 'BenchmarkInvocation' 100000x 1 "soc invocation micro"
 # Simulation-kernel micro-benchmarks, with allocs/op: the alloc columns
 # are the regression guard for the zero-allocation scheduler (0 expected
 # on every steady-state path; TestZeroAlloc* enforces the same in CI).
-run_bench_mem ./internal/sim 'BenchmarkEngineScheduleRun|BenchmarkProcSwitch|BenchmarkSemaphorePingPong' 500000x 1 "sim kernel micro"
+run_bench_mem ./internal/sim 'BenchmarkEngineScheduleRun|BenchmarkProcSwitch|BenchmarkSemaphorePingPong|BenchmarkProcSpawn' 500000x 1 "sim kernel micro"
 
 # Learner decide+update micro-benchmarks, one sub-benchmark per
 # registered algorithm, with allocs/op: the default ("q") path is the
